@@ -3,11 +3,6 @@
 from repro.core.baselines import greedy_utility, stochastic_greedy_utility
 from repro.core.bsm_saturate import bsm_saturate
 from repro.core.cover import greedy_cover
-from repro.core.curvature import (
-    curvature_greedy_bound,
-    empirical_greedy_ratio,
-    total_curvature,
-)
 from repro.core.distributed import greedi, partition_items
 from repro.core.dynamic import DynamicMaximizer
 from repro.core.local_search import polish, swap_local_search
@@ -74,9 +69,7 @@ __all__ = [
     "WeightedCombination",
     "bsm_saturate",
     "bsm_tsgreedy",
-    "curvature_greedy_bound",
     "double_greedy",
-    "empirical_greedy_ratio",
     "greedi",
     "greedy_cover",
     "greedy_guarantee",
@@ -101,6 +94,5 @@ __all__ = [
     "submodularity_ratio",
     "swap_local_search",
     "threshold_greedy_max",
-    "total_curvature",
     "weak_greedy",
 ]

@@ -10,14 +10,11 @@ from repro.datasets.adult import adult_like_points
 from repro.datasets.foursquare import foursquare_like
 from repro.datasets.paper_example import figure1_instance, lemma32_instance
 from repro.datasets.registry import DATASETS, load_dataset
-from repro.datasets.serialize import load_dataset_dir, save_dataset
 from repro.datasets.social import dblp_like, facebook_like, pokec_like
 from repro.datasets.synthetic import rand_fl_points, rand_graph
 
 __all__ = [
     "DATASETS",
-    "load_dataset_dir",
-    "save_dataset",
     "adult_like_points",
     "dblp_like",
     "facebook_like",

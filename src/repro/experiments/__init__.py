@@ -18,28 +18,12 @@ from repro.experiments.harness import (
 from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.pareto import FrontierPoint, hypervolume, pareto_frontier
 from repro.experiments.plotting import Series, ascii_chart, sweep_chart
-from repro.experiments.replication import ReplicatedSweep, replicate_tau_sweep
 from repro.experiments.reporting import render_series, render_table
-from repro.experiments.verification import (
-    ClaimReport,
-    check_dominance,
-    check_flat_baseline,
-    check_tradeoff_shape,
-    check_weak_constraint,
-    verify_paper_claims,
-)
 
 __all__ = [
-    "ClaimReport",
     "ExperimentRow",
     "FIGURES",
-    "check_dominance",
-    "check_flat_baseline",
-    "check_tradeoff_shape",
-    "check_weak_constraint",
-    "verify_paper_claims",
     "FrontierPoint",
-    "ReplicatedSweep",
     "Series",
     "SweepResult",
     "ascii_chart",
@@ -47,7 +31,6 @@ __all__ = [
     "pareto_frontier",
     "render_series",
     "render_table",
-    "replicate_tau_sweep",
     "run_figure",
     "sweep_chart",
     "sweep_k",

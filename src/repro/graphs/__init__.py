@@ -16,26 +16,12 @@ from repro.graphs.generators import (
     stochastic_block_model,
 )
 from repro.graphs.io import read_edge_list, write_edge_list
-from repro.graphs.metrics import (
-    GraphStatistics,
-    degree_sequence,
-    gini_coefficient,
-    global_clustering,
-    graph_statistics,
-    group_homophily,
-)
 
 __all__ = [
     "Graph",
     "GraphDelta",
-    "GraphStatistics",
-    "degree_sequence",
     "erdos_renyi",
     "gaussian_points",
-    "gini_coefficient",
-    "global_clustering",
-    "graph_statistics",
-    "group_homophily",
     "preferential_attachment",
     "read_edge_list",
     "stochastic_block_model",

@@ -13,7 +13,6 @@ from repro.influence.ic_model import (
     simulate_cascade,
     simulate_cascades_batch,
 )
-from repro.influence.lt_model import LTModel
 from repro.influence.ris import (
     RepairResult,
     RRCollection,
@@ -23,23 +22,13 @@ from repro.influence.ris import (
     sample_rr_collection,
 )
 from repro.influence.imm import imm_rr_collection, imm_sample_bound
-from repro.influence.triggering import (
-    TriggeringModel,
-    ic_trigger_sampler,
-    lt_trigger_sampler,
-    topk_trigger_sampler,
-)
 
 __all__ = [
-    "LTModel",
     "RepairResult",
     "RRCollection",
-    "TriggeringModel",
     "affected_rr_sets",
-    "ic_trigger_sampler",
     "imm_rr_collection",
     "imm_sample_bound",
-    "lt_trigger_sampler",
     "monte_carlo_group_spread",
     "monte_carlo_spread",
     "repair_rr_collection",
@@ -48,5 +37,4 @@ __all__ = [
     "sample_rr_sets_batch",
     "simulate_cascade",
     "simulate_cascades_batch",
-    "topk_trigger_sampler",
 ]

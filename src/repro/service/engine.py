@@ -39,7 +39,7 @@ from repro.service.protocol import AnyRequest, Request, Response
 from repro.service.session import SolverSession
 from repro.utils.caching import BoundedCache
 from repro.utils.parallel import pool_stats, resolve_backend
-from repro.utils.timing import Timer
+from repro.utils.timing import Timer, percentile
 
 #: Algorithms eligible for shared-run coalescing. Deterministic,
 #: AverageUtility-scalarized, and prefix-nested in ``k`` — plain greedy
@@ -157,20 +157,16 @@ class ServiceEngine:
         ``count`` is cumulative over the engine's lifetime; ``mean`` and
         ``p99`` (seconds) are computed on the last
         :data:`LATENCY_WINDOW` samples per op. p99 is the nearest-rank
-        percentile of the sorted window.
+        percentile of the window.
         """
-        out: dict[str, dict[str, float]] = {}
-        for op, window in self._op_runtimes.items():
-            samples = sorted(window)
-            rank = max(0, int(len(samples) * 0.99) - 1) if samples else 0
-            out[op] = {
-                "count": self._op_counts.get(op, len(samples)),
-                "mean": (
-                    sum(samples) / len(samples) if samples else 0.0
-                ),
-                "p99": samples[rank] if samples else 0.0,
+        return {
+            op: {
+                "count": self._op_counts.get(op, len(window)),
+                "mean": sum(window) / len(window) if window else 0.0,
+                "p99": percentile(window, 0.99),
             }
-        return out
+            for op, window in self._op_runtimes.items()
+        }
 
     def stats(self) -> dict[str, Any]:
         from repro.service.session import shared_session_stats

@@ -8,16 +8,18 @@ point its stdio script at a socket and see the same bytes back.
 
 Four mechanisms make the engines safe and fast under concurrency:
 
-* **Dataset-affine sharding** (``shards > 1``). An
-  :class:`~repro.service.shards.EngineShardPool` spawns N engine worker
-  processes; the dispatcher routes every data op by
+* **One dispatch path over an engine shard pool.** Every request goes
+  through an :class:`~repro.service.shards.EngineShardPool`. The
+  dispatcher routes every data op by
   :func:`~repro.service.shards.shard_for_dataset` (``crc32(dataset) %
   shards``) so a dataset's warm session state always lives on exactly
   one shard. ``stats`` fans out to every shard and merges;
   ``shutdown`` is acked by the front-end and drains the whole pool.
-  With ``shards == 1`` (the default) the engine runs in-process,
-  exactly as before PR 10.
-* **Per-shard micro-batch coalescing windows.** Admitted requests land
+  ``shards == 1`` (the default) means one in-process shard: the engine
+  runs in the front-end's process, called directly under a lock, with
+  no fork and no JSON round-trip. ``shards > 1`` forks one engine
+  worker process per shard.
+* **Per-shard micro-batch coalescing windows.** Admitted data ops land
   on their shard's queue; a per-shard batcher task gathers everything
   that arrives within ``batch_window`` seconds (up to ``max_batch``)
   into a single engine batch. Requests from *different connections*
@@ -41,7 +43,7 @@ Four mechanisms make the engines safe and fast under concurrency:
 
 Shutdown is graceful either way it arrives (SIGTERM/SIGINT or a
 ``shutdown`` op): the listener closes, every in-flight request is
-answered and written, the shard pool (if any) drains worker by worker,
+answered and written, the shard pool drains shard by shard,
 then connections close and :meth:`TCPServer.wait_closed` returns.
 While draining, new requests are refused with ``error: "draining"``.
 
@@ -52,8 +54,9 @@ one oversized-line error and closes that connection.
 An optional HTTP metrics sidecar (``metrics_port``) serves Prometheus
 text (``/metrics``): every :class:`ServerStats` counter, per-op
 latency quantiles over a sliding window, and per-shard queue-depth and
-dispatch gauges. The counters are the same objects the ``stats`` op
-reports, so a scrape and a ``stats`` response can be cross-checked.
+dispatch series (just ``shard="0"`` on a one-shard server). The
+counters are the same objects the ``stats`` op reports, so a scrape
+and a ``stats`` response can be cross-checked.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
-import threading
 import time
 from collections import deque
 from dataclasses import asdict, dataclass
@@ -78,6 +80,7 @@ from repro.service.protocol import (
 )
 from repro.service.shards import EngineShardPool, shard_for_dataset
 from repro.utils.parallel import get_pool
+from repro.utils.timing import percentile
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_MAX_QUEUE_DEPTH = 256
@@ -104,7 +107,7 @@ LATENCY_WINDOW = 512
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Ops that are answered by the dispatcher itself (fan-out / fabricated
-#: ack) rather than routed to a dataset shard, when sharding is on.
+#: ack) rather than routed to a dataset shard.
 FANOUT_OPS = ("stats", "shutdown")
 
 
@@ -151,14 +154,11 @@ class _LatencyWindows:
     def snapshot(self) -> dict[str, dict[str, float]]:
         out: dict[str, dict[str, float]] = {}
         for op, window in self._samples.items():
-            samples = sorted(window)
-            p50 = samples[max(0, int(len(samples) * 0.50) - 1)] if samples else 0.0
-            p99 = samples[max(0, int(len(samples) * 0.99) - 1)] if samples else 0.0
             out[op] = {
-                "count": self._counts.get(op, len(samples)),
-                "mean": sum(samples) / len(samples) if samples else 0.0,
-                "p50": p50,
-                "p99": p99,
+                "count": self._counts.get(op, len(window)),
+                "mean": sum(window) / len(window) if window else 0.0,
+                "p50": percentile(window, 0.50),
+                "p99": percentile(window, 0.99),
             }
         return out
 
@@ -173,10 +173,10 @@ class TCPServer:
     event loop; ``port=0`` binds an ephemeral port exposed via
     :attr:`port`.
 
-    With ``shards == 1`` the engine lives in-process (pass ``engine``
-    or ``engine_config``); with ``shards > 1`` pass ``engine_config``
-    only — every shard process constructs its own engine from it, and
-    :attr:`engine` is ``None``.
+    With ``shards == 1`` the engine is the pool's one in-process shard:
+    pass a live ``engine`` or an ``engine_config`` to build one from.
+    With ``shards > 1`` pass ``engine_config`` only — every shard process
+    constructs its own engine from it.
     """
 
     def __init__(
@@ -226,26 +226,15 @@ class TCPServer:
         self._requested_metrics_port = metrics_port
         self._bound_port: Optional[int] = None
         self._bound_metrics_port: Optional[int] = None
-        self._shard_pool: Optional[EngineShardPool] = None
-        if shards > 1:
-            # Fork the shard processes *before* the thread pool below
-            # spawns: a forked child must never inherit live executor
-            # threads (the workers call reset_pools_after_fork anyway,
-            # but the less thread state crosses the fork the better).
-            self._shard_pool = EngineShardPool(shards, engine_config)
-            self.engine: Optional[ServiceEngine] = None
-        else:
-            self.engine = (
-                engine
-                if engine is not None
-                else ServiceEngine(**(engine_config or {}))
-            )
-        # The in-process engine mutates shared session state with no
-        # internal locking; batches execute on pool threads strictly one
-        # engine call at a time. max_inflight > 1 still helps: the next
-        # batch is staged (queue hand-off, thread wake-up) while the
-        # current one computes. Shard pipes serialise per shard instead.
-        self._engine_lock = threading.Lock()
+        # Build the shard pool *before* the thread pool below spawns: a
+        # forked shard process must never inherit live executor threads
+        # (the workers call reset_pools_after_fork anyway, but the less
+        # thread state crosses the fork the better).
+        self._shard_pool = (
+            EngineShardPool.in_process(engine)
+            if engine is not None
+            else EngineShardPool(shards, engine_config)
+        )
         self._pool = get_pool("thread", max(ENGINE_POOL_WIDTH, shards + 1))
         self._pending = 0
         self._draining = False
@@ -352,11 +341,10 @@ class TCPServer:
             await asyncio.gather(
                 *list(self._dispatch_tasks), return_exceptions=True
             )
-        if self._shard_pool is not None:
-            # Worker shutdown round-trips the pipes; keep it off the loop.
-            await asyncio.get_running_loop().run_in_executor(
-                self._pool, self._shard_pool.close
-            )
+        # Worker shutdown round-trips the pipes; keep it off the loop.
+        await asyncio.get_running_loop().run_in_executor(
+            self._pool, self._shard_pool.close
+        )
         if self._metrics_server is not None:
             self._metrics_server.close()
             await self._metrics_server.wait_closed()
@@ -464,14 +452,14 @@ class TCPServer:
             future: asyncio.Future = loop.create_future()
             self._observe_latency(request.op, future)
             admitted.append((pos, request, future))
-            shard = self._route(request)
-            if shard is None:
+            if request.op in FANOUT_OPS:
                 fanout = asyncio.create_task(
                     self._serve_fanout(request, future)
                 )
                 self._dispatch_tasks.add(fanout)
                 fanout.add_done_callback(self._dispatch_tasks.discard)
             else:
+                shard = shard_for_dataset(request.dataset, self.shards)
                 await self._queues[shard].put((request, future))
         if admitted:
             await asyncio.gather(*(future for _, _, future in admitted))
@@ -487,20 +475,6 @@ class TCPServer:
         if shutdown_requested:
             self.request_drain()
 
-    def _route(self, request: AnyRequest) -> Optional[int]:
-        """Queue index for a request; ``None`` for front-end fan-out ops.
-
-        Unsharded servers route everything — including ``stats`` and
-        ``shutdown`` — to the single engine queue, preserving PR 9
-        behaviour byte for byte. Sharded servers route data ops by
-        dataset and answer the fan-out ops from the dispatcher.
-        """
-        if self._shard_pool is None:
-            return 0
-        if request.op in FANOUT_OPS:
-            return None
-        return shard_for_dataset(getattr(request, "dataset", ""), self.shards)
-
     def _observe_latency(self, op: str, future: asyncio.Future) -> None:
         start = time.perf_counter()
         future.add_done_callback(
@@ -512,15 +486,14 @@ class TCPServer:
     async def _serve_fanout(
         self, request: AnyRequest, future: asyncio.Future
     ) -> None:
-        """Answer a ``stats``/``shutdown`` request in sharded mode.
+        """Answer a ``stats``/``shutdown`` request from the front-end.
 
-        ``stats`` fans out to every shard (pipe round-trips happen on
-        the executor) and merges; ``shutdown`` is acked immediately with
-        the same payload an engine would send — the shard processes
-        themselves drain inside :meth:`drain`, *after* every admitted
-        request has been answered.
+        ``stats`` fans out to every shard (engine calls and pipe
+        round-trips happen on the executor) and merges; ``shutdown`` is
+        acked immediately with the same payload an engine would send —
+        the shards themselves drain inside :meth:`drain`, *after* every
+        admitted request has been answered.
         """
-        assert self._shard_pool is not None
         if request.op == "shutdown":
             response = Response(
                 op=request.op, id=request.id, result={"stopping": True}
@@ -573,9 +546,10 @@ class TCPServer:
         """Gather one shard's queue into micro-batches and dispatch them.
 
         The window opens when the first item of a batch arrives and
-        closes ``batch_window`` seconds later (or at ``max_batch``) —
-        so an idle server adds no latency and a busy one coalesces
-        aggressively. ``None`` is the drain sentinel.
+        closes ``batch_window`` seconds later (or at ``max_batch``), so
+        a busy server coalesces aggressively — but a lone request on an
+        idle server also waits out the full window before it is
+        dispatched. ``None`` is the drain sentinel.
         """
         queue = self._queues[shard]
         inflight = self._inflights[shard]
@@ -613,8 +587,9 @@ class TCPServer:
         loop = asyncio.get_running_loop()
         requests = [request for request, _ in batch]
         try:
+            # Pool thread: the shard serialises its own batches.
             responses = await loop.run_in_executor(
-                self._pool, self._run_engine, shard, requests
+                self._pool, self._shard_pool.handle_batch, shard, requests
             )
         except Exception as exc:  # noqa: BLE001 — service boundary
             responses = [
@@ -644,18 +619,6 @@ class TCPServer:
             if not future.done():
                 future.set_result(response)
 
-    def _run_engine(
-        self, shard: int, requests: list[AnyRequest]
-    ) -> list[Response]:
-        # Pool thread. Sharded: one pipe round-trip, serialised per
-        # shard by the shard's own lock. Unsharded: one engine call at
-        # a time — see _engine_lock.
-        if self._shard_pool is not None:
-            return self._shard_pool.handle_batch(shard, requests)
-        assert self.engine is not None
-        with self._engine_lock:
-            return self.engine.handle_batch(requests)
-
     # -- telemetry ---------------------------------------------------------
     def stats_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -673,11 +636,10 @@ class TCPServer:
                 "retry_after_ms": self.retry_after_ms,
             },
         }
-        if self._shard_pool is not None:
-            telemetry = self._shard_pool.telemetry()
-            for entry, queue in zip(telemetry, self._queues):
-                entry["queue_depth"] = queue.qsize()
-            out["shard_telemetry"] = telemetry
+        telemetry = self._shard_pool.telemetry()
+        for entry, queue in zip(telemetry, self._queues):
+            entry["queue_depth"] = queue.qsize()
+        out["shard_telemetry"] = telemetry
         return out
 
     # -- metrics sidecar ---------------------------------------------------
@@ -695,7 +657,7 @@ class TCPServer:
                 )
                 lines.append(f"{name}{labels} {rendered}")
 
-        counters = asdict(self.stats)
+        stats = self.stats_dict()
         for field_name, help_text in (
             ("connections_total", "Connections accepted since start."),
             ("lines_total", "Input lines parsed."),
@@ -710,63 +672,41 @@ class TCPServer:
             suffix = "" if field_name.endswith("_total") else "_total"
             emit(
                 f"repro_{field_name}{suffix}", "counter", help_text,
-                [("", counters[field_name])],
+                [("", stats[field_name])],
             )
-        emit(
-            "repro_connections_active", "gauge",
-            "Currently open connections.",
-            [("", counters["connections_active"])],
-        )
-        emit(
-            "repro_pending_requests", "gauge",
-            "Admitted-but-unanswered requests.", [("", self._pending)],
-        )
-        emit(
-            "repro_draining", "gauge",
-            "1 while the server drains.", [("", int(self._draining))],
-        )
-        emit(
-            "repro_shards", "gauge",
-            "Engine shard count (1 = in-process engine).",
-            [("", self.shards)],
-        )
-        latency = self.latency.snapshot()
+        for name, key, help_text in (
+            ("connections_active", "connections_active",
+             "Currently open connections."),
+            ("pending_requests", "pending", "Admitted-but-unanswered requests."),
+            ("draining", "draining", "1 while the server drains."),
+            ("shards", "shards", "Engine shard count (1 = in-process engine)."),
+        ):
+            emit(f"repro_{name}", "gauge", help_text, [("", int(stats[key]))])
+        latency = stats["op_latency"]
         emit(
             "repro_op_requests_total", "counter",
             "Answered requests per op.",
-            [(f'{{op="{op}"}}', stats["count"])
-             for op, stats in sorted(latency.items())],
+            [(f'{{op="{op}"}}', op_stats["count"])
+             for op, op_stats in sorted(latency.items())],
         )
-        quantile_samples: list[tuple[str, float]] = []
-        for op, stats in sorted(latency.items()):
-            for quantile, key in (("0.5", "p50"), ("0.99", "p99")):
-                quantile_samples.append(
-                    (f'{{op="{op}",quantile="{quantile}"}}', stats[key])
-                )
         emit(
             "repro_op_latency_seconds", "gauge",
             "Admission-to-answer latency quantiles (sliding window).",
-            quantile_samples,
+            [(f'{{op="{op}",quantile="{quantile}"}}', op_stats[key])
+             for op, op_stats in sorted(latency.items())
+             for quantile, key in (("0.5", "p50"), ("0.99", "p99"))],
         )
-        if self._shard_pool is not None:
-            telemetry = self._shard_pool.telemetry()
+        for name, kind, key, help_text in (
+            ("queue_depth", "gauge", "queue_depth", "Requests queued per shard."),
+            ("dispatches_total", "counter", "dispatches",
+             "Engine batches dispatched per shard."),
+            ("requests_total", "counter", "requests",
+             "Requests dispatched per shard."),
+        ):
             emit(
-                "repro_shard_queue_depth", "gauge",
-                "Requests queued per shard.",
-                [(f'{{shard="{e["shard"]}"}}', queue.qsize())
-                 for e, queue in zip(telemetry, self._queues)],
-            )
-            emit(
-                "repro_shard_dispatches_total", "counter",
-                "Engine batches dispatched per shard.",
-                [(f'{{shard="{e["shard"]}"}}', e["dispatches"])
-                 for e in telemetry],
-            )
-            emit(
-                "repro_shard_requests_total", "counter",
-                "Requests dispatched per shard.",
-                [(f'{{shard="{e["shard"]}"}}', e["requests"])
-                 for e in telemetry],
+                f"repro_shard_{name}", kind, help_text,
+                [(f'{{shard="{e["shard"]}"}}', e[key])
+                 for e in stats["shard_telemetry"]],
             )
         return "\n".join(lines) + "\n"
 

@@ -1,10 +1,11 @@
-"""Multi-process engine shards behind the TCP front-end.
+"""Engine shards behind the TCP front-end: in-process or forked.
 
-PR 9's front-end funnels every admitted request into a *single*
-:class:`~repro.service.engine.ServiceEngine` guarded by one lock, so
-the serving tier tops out at one core. This module spawns N engine
-worker *processes* and speaks the existing JSON-lines wire protocol to
-each of them over a :class:`multiprocessing.Pipe` — the same
+The front-end dispatches every request through an
+:class:`EngineShardPool`. A one-shard pool calls its live engine
+in-process (:class:`InProcessShard`: no fork, no JSON). A pool of N > 1
+spawns N engine worker *processes* (:class:`EngineShard`) and speaks
+the JSON-lines wire protocol to each over a
+:class:`multiprocessing.Pipe` — the same
 :func:`repro.service.daemon.serve_forever` loop that serves stdio
 serves a shard, fed by small file-like adapters over the connection.
 
@@ -30,7 +31,7 @@ Determinism: each shard is a full engine with the same construction
 knobs, and the engine is deterministic per request stream. Because
 routing is dataset-affine and the front-end keeps per-shard FIFO
 queues, the per-dataset request order equals the arrival order — so a
-sharded server's responses are bitwise-identical to a single-engine
+sharded server's responses are bitwise-identical to a one-shard
 server's for any sequential client (pinned by ``tests/test_shards.py``
 and the ``sharded`` phase of ``benchmarks/bench_load.py``).
 """
@@ -204,12 +205,43 @@ class EngineShard:
             self._conn.close()
 
 
-class EngineShardPool:
-    """N dataset-affine engine worker processes.
+class InProcessShard:
+    """The one shard of a one-shard pool: a live engine in this process.
 
-    ``engine_config`` holds :class:`ServiceEngine` constructor kwargs;
-    it is validated eagerly (by constructing a throwaway engine in the
-    parent) so a bad knob fails at startup, not inside a worker.
+    Same surface as :class:`EngineShard`; ``handle_batch`` calls the
+    engine directly. The engine mutates session state with no locking
+    of its own, so the lock admits one batch at a time; ``max_inflight
+    > 1`` still helps, because the next batch is staged while this one
+    computes.
+    """
+
+    index = 0
+    alive = True  # lives and dies with the front-end
+
+    def __init__(self, engine: ServiceEngine) -> None:
+        self.engine = engine
+        self.dispatches = 0
+        self.requests = 0
+        self._lock = threading.Lock()
+
+    def handle_batch(self, requests: list[AnyRequest]) -> list[Response]:
+        with self._lock:
+            self.dispatches += 1
+            self.requests += len(requests)
+            return self.engine.handle_batch(requests)
+
+    def close(self) -> None:
+        """Nothing to stop: the engine belongs to the front-end's process."""
+
+
+class EngineShardPool:
+    """Dataset-affine engine shards: one in-process, or N processes.
+
+    ``engine_config`` holds :class:`ServiceEngine` constructor kwargs.
+    The parent builds one engine from it first, so a bad knob fails at
+    startup, not inside a worker; a one-shard pool serves that engine
+    in-process, a larger pool forks one worker per shard.
+    :meth:`in_process` wraps an engine the caller already built.
     """
 
     def __init__(
@@ -218,11 +250,23 @@ class EngineShardPool:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         config = dict(engine_config or {})
-        ServiceEngine(**config)  # validate knobs before forking anything
-        self.num_shards = num_shards
-        self.engine_config = config
-        self.shards = [EngineShard(i, config) for i in range(num_shards)]
-        self._closed = False
+        engine = ServiceEngine(**config)  # validate knobs before forking anything
+        self.shards: list[InProcessShard | EngineShard] = (
+            [InProcessShard(engine)]
+            if num_shards == 1
+            else [EngineShard(i, config) for i in range(num_shards)]
+        )
+
+    @classmethod
+    def in_process(cls, engine: ServiceEngine) -> "EngineShardPool":
+        """A one-shard pool serving ``engine`` itself (it never forks)."""
+        pool = cls.__new__(cls)
+        pool.shards = [InProcessShard(engine)]
+        return pool
+
+    @property
+    def num_shards(self) -> int:
+        return len(self.shards)
 
     def shard_for(self, dataset: str) -> int:
         return shard_for_dataset(dataset, self.num_shards)
@@ -232,21 +276,27 @@ class EngineShardPool:
     ) -> list[Response]:
         return self.shards[shard_index].handle_batch(requests)
 
-    def stats_all(self, request: AnyRequest) -> list[Response]:
-        """Fan one ``stats`` request out to every shard, in shard order."""
-        return [shard.handle_batch([request])[0] for shard in self.shards]
-
     def merged_stats(self, request: AnyRequest) -> Response:
-        """One response merging every shard's stats block.
+        """Fan one ``stats`` request out to every shard and merge.
 
-        Scalar counters sum, sessions concatenate, and each shard's full
-        block rides along under ``shards`` so nothing is lost in the
-        merge.
+        A one-shard pool answers with its shard's response unchanged.
+        Otherwise scalar counters sum and sessions concatenate over the
+        shards that answered, and each shard's block rides along under
+        ``shards`` with ``ok: true`` — or ``ok: false`` and the
+        ``error`` for a shard that could not answer (exited, broken
+        pipe), so ``stats`` keeps working exactly when a shard dies.
         """
-        per_shard = self.stats_all(request)
-        failed = next((r for r in per_shard if not r.ok), None)
-        if failed is not None:
-            return failed
+        per_shard = []
+        for shard in self.shards:
+            try:
+                per_shard.append(shard.handle_batch([request])[0])
+            except Exception as exc:  # noqa: BLE001 — one shard's failure
+                error = f"{type(exc).__name__}: {exc}"
+                per_shard.append(
+                    Response(op=request.op, id=request.id, ok=False, error=error)
+                )
+        if len(per_shard) == 1:
+            return per_shard[0]
         merged: dict[str, Any] = {
             "requests_served": 0,
             "coalesced_requests": 0,
@@ -255,11 +305,16 @@ class EngineShardPool:
             "shards": [],
         }
         for index, response in enumerate(per_shard):
+            if not response.ok:
+                merged["shards"].append(
+                    {"shard": index, "ok": False, "error": response.error}
+                )
+                continue
             block = response.result
             for key in ("requests_served", "coalesced_requests", "coalesced_runs"):
                 merged[key] += int(block.get(key, 0))
             merged["sessions"].extend(block.get("sessions", []))
-            merged["shards"].append({"shard": index, **block})
+            merged["shards"].append({"shard": index, "ok": True, **block})
         return Response(op=request.op, id=request.id, result=merged)
 
     def telemetry(self) -> list[dict[str, Any]]:
@@ -275,8 +330,6 @@ class EngineShardPool:
         ]
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
+        """Close every shard (idempotent)."""
         for shard in self.shards:
             shard.close()

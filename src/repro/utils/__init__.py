@@ -27,13 +27,6 @@ from repro.utils.parallel import (
     spawn_seed_sequences,
 )
 from repro.utils.rng import as_generator, spawn_generators
-from repro.utils.stats import (
-    Aggregate,
-    aggregate,
-    bootstrap_ci,
-    paired_sign_test,
-    replicate,
-)
 from repro.utils.timing import Timer
 from repro.utils.validation import (
     check_fraction,
@@ -43,17 +36,14 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "Aggregate",
     "BoundedCache",
     "CacheStats",
     "SharedArrays",
     "Timer",
     "WorkerContext",
     "WorkerPool",
-    "aggregate",
     "as_generator",
     "available_cpus",
-    "bootstrap_ci",
     "check_fraction",
     "check_non_negative",
     "check_positive_int",
@@ -62,11 +52,9 @@ __all__ = [
     "fork_available",
     "get_pool",
     "lru_bound",
-    "paired_sign_test",
     "parallel_imap",
     "parallel_map",
     "pool_stats",
-    "replicate",
     "resolve_backend",
     "resolve_workers",
     "shutdown_pools",

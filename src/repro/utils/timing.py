@@ -1,8 +1,28 @@
-"""Wall-clock timing helper used by solver results and the harness."""
+"""Wall-clock timing helpers: a stopwatch for solver results and the
+harness, and the one latency percentile every service report uses."""
 
 from __future__ import annotations
 
+import math
 import time
+from typing import Sequence
+
+
+def percentile(samples: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile: the ``ceil(n * q) - 1``-th smallest sample.
+
+    0.0 for an empty sample; ``samples`` need not be sorted. ``n * q`` is
+    rounded first so float error (``0.57 * 100 == 56.99999999999999``)
+    cannot shift the rank. p99 of 50 samples is their maximum.
+
+    >>> percentile([3.0, 1.0, 2.0], 0.5)
+    2.0
+    """
+    if not samples:
+        return 0.0
+    ordered = sorted(samples)
+    rank = max(0, math.ceil(round(len(ordered) * q, 9)) - 1)
+    return ordered[min(rank, len(ordered) - 1)]
 
 
 class Timer:

@@ -2,14 +2,11 @@
 
 The unit suites cover each extension in isolation; these tests chain
 them the way a downstream user would: new domains through the full
-solver stack, streaming/dynamic structures feeding the polish step, the
-triggering model feeding the BSM pipeline, and the verification
-predicates closing the loop on a real sweep.
+solver stack, and streaming/dynamic structures feeding the polish step.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.local_search import polish
@@ -18,7 +15,6 @@ from repro.core.streaming_bsm import streaming_tsgreedy
 from repro.datasets.registry import load_dataset
 from repro.experiments.harness import sweep_tau
 from repro.experiments.plotting import sweep_chart
-from repro.experiments.verification import verify_paper_claims
 
 
 class TestNewDomainsThroughFullStack:
@@ -76,54 +72,3 @@ class TestStreamingPlusPolish:
         )
         assert improved.utility >= result.utility - 1e-9
         assert improved.size <= max(result.size, 4)
-
-
-class TestTriggeringToBSM:
-    def test_lt_triggering_pipeline_end_to_end(self):
-        from repro.graphs.generators import stochastic_block_model
-        from repro.influence.triggering import (
-            TriggeringModel,
-            lt_trigger_sampler,
-        )
-        from repro.problems.influence import InfluenceObjective
-
-        graph = stochastic_block_model([20, 30], 0.15, 0.04, seed=13)
-        graph.set_edge_probabilities(0.3)
-        model = TriggeringModel(graph, lt_trigger_sampler())
-        rr = model.sample_rr_collection(600, seed=13)
-        objective = InfluenceObjective(rr, graph.group_sizes().tolist())
-        problem = BSMProblem(objective, k=3, tau=0.7)
-        fair = problem.solve("bsm-saturate")
-        plain = problem.solve("greedy")
-        assert fair.size <= 3
-        # Fairness-constrained solution never loses on g.
-        assert fair.fairness >= plain.fairness - 0.05
-        # Estimate roughly matches a forward simulation of the solution.
-        simulated = model.monte_carlo_group_spread(
-            fair.solution, 800, seed=14
-        )
-        assert np.allclose(fair.group_values, simulated, atol=0.1)
-
-
-class TestVerificationClosesTheLoop:
-    def test_paper_claims_on_extension_domain(self):
-        data = load_dataset("summ-blobs-c3", seed=6, num_points=60)
-        sweep = sweep_tau(
-            data,
-            4,
-            (0.1, 0.5, 0.9),
-            algorithms=("Greedy", "Saturate", "BSM-TSGreedy",
-                        "BSM-Saturate"),
-            seed=6,
-        )
-        # TSGreedy's fairness end-point can dip a few percent on FL-like
-        # instances (cover-stage tie-breaks); the shape bundle is pinned
-        # on BSM-Saturate here, TSGreedy's MC shape is covered in
-        # tests/test_verification.py.
-        reports = verify_paper_claims(
-            sweep,
-            bsm_algorithms=("BSM-Saturate", "BSM-Saturate"),
-            dominance_slack=1,
-        )
-        failures = [str(r) for r in reports if not r.holds]
-        assert not failures, failures

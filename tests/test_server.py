@@ -170,17 +170,22 @@ class TestTCPBasics:
             return stats
 
         stats = run_async(scenario())
+        # One in-process shard answers with its engine block unchanged.
+        assert "shards" not in stats["result"]
+        assert stats["result"]["requests_served"] == 1
         server_block = stats["result"]["server"]
         assert server_block["connections_total"] == 1
         assert server_block["requests_admitted"] == 1
         assert server_block["config"]["max_queue_depth"] >= 1
         assert server_block["draining"] is False
+        assert [e["requests"] for e in server_block["shard_telemetry"]] == [1]
 
 
 class TestCoalescing:
     def test_cross_connection_solves_coalesce(self):
         async def scenario():
-            server = await started_server(batch_window=0.3)
+            engine = ServiceEngine()
+            server = await started_server(engine, batch_window=0.3)
             try:
                 conn_a = await asyncio.open_connection(server.host, server.port)
                 conn_b = await asyncio.open_connection(server.host, server.port)
@@ -198,8 +203,8 @@ class TestCoalescing:
                     await writer.drain()
                 resp_a = json.loads(await conn_a[0].readline())
                 resp_b = json.loads(await conn_b[0].readline())
-                runs = server.engine.coalesced_runs
-                shared = server.engine.coalesced_requests
+                runs = engine.coalesced_runs
+                shared = engine.coalesced_requests
                 for _, writer in (conn_a, conn_b):
                     writer.close()
             finally:
@@ -309,7 +314,7 @@ class TestConnectionFailures:
                 writer2.close()
             finally:
                 await server.drain()
-            return again, server.engine.requests_served
+            return again, engine.requests_served
 
         again, served = run_async(scenario())
         assert again["ok"]
@@ -348,7 +353,8 @@ class TestConnectionFailures:
 
     def test_storage_tier_sessions_stay_isolated(self):
         async def scenario():
-            server = await started_server(batch_window=0.25)
+            engine = ServiceEngine()
+            server = await started_server(engine, batch_window=0.25)
             try:
                 conn_a = await asyncio.open_connection(server.host, server.port)
                 conn_b = await asyncio.open_connection(server.host, server.port)
@@ -368,7 +374,7 @@ class TestConnectionFailures:
                 resp_a = json.loads(await conn_a[0].readline())
                 resp_b = json.loads(await conn_b[0].readline())
                 stats = await rpc(*conn_a, {"op": "stats", "id": "s"})
-                runs = server.engine.coalesced_runs
+                runs = engine.coalesced_runs
                 for _, writer in (conn_a, conn_b):
                     writer.close()
             finally:
@@ -580,6 +586,9 @@ class TestLoadgen:
         assert percentile(samples, 0.99) == 99.0
         assert percentile(samples, 1.0) == 100.0
         assert percentile([7.0], 0.99) == 7.0
+        # Below 100 samples the top rank is the maximum: p99 of 50
+        # samples is the 50th value, not the 49th.
+        assert percentile([float(v) for v in range(1, 51)], 0.99) == 50.0
 
 
 class TestDrainTaskReference:

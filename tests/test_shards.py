@@ -211,6 +211,39 @@ class TestShardedServer:
         assert block["server"]["requests_admitted"] == 3
         assert block["server"]["shards"] == 2
 
+    def test_stats_survives_a_dead_shard(self):
+        async def scenario():
+            server = await started_server(
+                shards=2, engine_config={}, batch_window=0.0
+            )
+            try:
+                dead = server._shard_pool.shards[1]  # DATASET_A's shard
+                dead._process.terminate()
+                dead._process.join(10.0)
+                return await send_sequential(
+                    server.host,
+                    server.port,
+                    [
+                        {"schema": 2, "op": "stats", "id": "s"},
+                        _solve("b", DATASET_B),
+                    ],
+                )
+            finally:
+                await server.drain()
+
+        stats, solve = run_async(scenario())
+        # The fan-out still answers, and marks the dead shard failed.
+        assert stats["ok"]
+        by_shard = {block["shard"]: block for block in stats["result"]["shards"]}
+        assert by_shard[1]["ok"] is False
+        assert "not running" in by_shard[1]["error"]
+        assert by_shard[0]["ok"] is True
+        assert stats["result"]["requests_served"] == by_shard[0]["requests_served"]
+        telemetry = stats["result"]["server"]["shard_telemetry"]
+        assert [e["alive"] for e in telemetry] == [True, False]
+        # The surviving shard still serves its datasets.
+        assert solve["ok"] and solve["id"] == "b"
+
     def test_drain_answers_every_admitted_request_on_every_shard(self):
         async def scenario():
             server = await started_server(
@@ -333,4 +366,6 @@ class TestMetricsSidecar:
         body = raw.split("\r\n\r\n", 1)[1]
         assert "repro_requests_total 1" in body
         assert "repro_shards 1" in body
-        assert "repro_shard_queue_depth" not in body  # sharded-only gauges
+        # One in-process shard exports the same per-shard series.
+        assert 'repro_shard_requests_total{shard="0"} 1' in body
+        assert 'repro_shard_queue_depth{shard="0"} 0' in body
