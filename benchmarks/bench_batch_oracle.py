@@ -1,13 +1,14 @@
 """Micro-bench — per-item vs batch oracle on facility location.
 
-Times plain greedy twice on the same n >= 2000 facility-location
-instance: once driving the oracle per item (the pre-batch hot loop,
-frozen here as a reference) and once through the batched
-``gains_batch``/``gain_batch`` path that all solvers now use. Both runs
-must select the identical solution; the batch path's win is pure
-vectorization (one NumPy pass per round instead of n Python
-round-trips), so wall-time drops while ``oracle_calls`` — items scored —
-stays the same.
+Times greedy twice on the same n >= 2000 facility-location instance:
+once as plain greedy driving the oracle per item (the pre-batch hot
+loop, frozen here as a reference) and once as ``greedy_max``, the lazy
+greedy loop every solver uses, which scores items through the batched
+``gains_batch``/``gain_batch`` path. Both runs must select the
+identical solution. The win is vectorization (one NumPy pass per batch
+instead of one Python round-trip per item) plus laziness (only stale
+bounds that could still win are rescored, so ``oracle_calls`` — items
+scored — drops too; ``bench_greedy.py`` separates the two).
 
 Emits ``benchmarks/results/BENCH_batch_oracle.json`` alongside the usual
 rendered table. Run standalone (``PYTHONPATH=src python
@@ -88,7 +89,7 @@ def _measure() -> dict:
 
     objective.reset_counter()
     start = time.perf_counter()
-    batch_state, _ = greedy_max(objective, scalarizer, BUDGET, lazy=False)
+    batch_state, _ = greedy_max(objective, scalarizer, BUDGET)
     batch_elapsed = time.perf_counter() - start
 
     speedup = per_item_elapsed / batch_elapsed if batch_elapsed > 0 else float("inf")

@@ -4,7 +4,7 @@ End-to-end proof of the storage tier: a synthetic n = 1,000,000-node
 directed graph (out-degree 3, sub-critical cascade probabilities) is
 written to the binary RCSR format, then a **child process** memory-maps
 it, streams 1.8 million RR sets into byte-budgeted memory-mapped
-segments, and solves plain greedy at k = 50 — while its peak resident
+segments, and solves lazy greedy at k = 50 — while its peak resident
 set size is required to stay under :data:`MEMORY_BUDGET`, which is
 itself required to be at most half the analytic footprint the flat
 in-RAM path would pin for the same state.
@@ -137,7 +137,7 @@ def _child_solve(rcsr_path: str) -> dict:
     # the greedy phase runs against the RR segments alone.
     graph.release()
     t0 = time.perf_counter()
-    result = greedy_utility(objective, K, lazy=False)
+    result = greedy_utility(objective, K)
     solve_s = time.perf_counter() - t0
     storage = objective.storage_info()
     return {

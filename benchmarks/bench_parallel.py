@@ -71,12 +71,6 @@ NUM_CASCADES = 12_000
 NUM_SEEDS = 10
 GREEDI_K = 40
 GREEDI_MACHINES = 4
-#: GreeDi runs its shards with plain (non-lazy) greedy here: each
-#: machine sweeps its full shard every round — the canonical
-#: independent-worker workload GreeDi's analysis assumes, and one whose
-#: wall-clock is dominated by shard work rather than by shipping the
-#: objective to the pool. Solutions are identical either way.
-GREEDI_LAZY = False
 
 #: Pool width under test and the wall-clock bar it must clear.
 WORKERS = 4
@@ -274,7 +268,6 @@ def _measure() -> dict:
         GREEDI_K,
         num_machines=GREEDI_MACHINES,
         seed=SEED,
-        lazy=GREEDI_LAZY,
         workers=1,
     )
     pool_greedi, gd_pool_s = _timed(
@@ -283,7 +276,6 @@ def _measure() -> dict:
         GREEDI_K,
         num_machines=GREEDI_MACHINES,
         seed=SEED,
-        lazy=GREEDI_LAZY,
         workers=WORKERS,
     )
     greedi_identical = bool(

@@ -44,7 +44,6 @@ def bsm_saturate(
     epsilon: float = DEFAULT_EPSILON,
     enforce_size_k: bool = True,
     candidates: Optional[Iterable[int]] = None,
-    lazy: bool = True,
     greedy_result: Optional[SolverResult] = None,
     saturate_result: Optional[SolverResult] = None,
 ) -> SolverResult:
@@ -77,10 +76,10 @@ def bsm_saturate(
     with timer:
         if greedy_result is None:
             greedy_result = greedy_utility(
-                objective, k, candidates=candidates, lazy=lazy
+                objective, k, candidates=candidates
             )
         if saturate_result is None:
-            saturate_result = saturate(objective, k, candidates=candidates, lazy=lazy)
+            saturate_result = saturate(objective, k, candidates=candidates)
         opt_f_approx = greedy_result.utility
         opt_g_approx = saturate_result.fairness
         c = objective.num_groups
@@ -134,7 +133,6 @@ def bsm_saturate(
                 target=target,
                 budget=budget,
                 candidates=candidates,
-                lazy=lazy,
             )
             if covered:
                 alpha_min = alpha
@@ -157,7 +155,6 @@ def bsm_saturate(
                 k - best_state.size,
                 state=best_state,
                 candidates=candidates,
-                lazy=lazy,
             )
     return make_result(
         "BSM-Saturate",

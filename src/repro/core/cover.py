@@ -31,7 +31,6 @@ def greedy_cover(
     budget: Optional[int] = None,
     state: Optional[ObjectiveState] = None,
     candidates: Optional[Iterable[int]] = None,
-    lazy: bool = True,
     tolerance: float = 1e-9,
 ) -> tuple[ObjectiveState, list[GreedyStep], bool]:
     """Greedily add items until ``scalarizer`` reaches ``target``.
@@ -63,7 +62,6 @@ def greedy_cover(
         state=state,
         candidates=candidates,
         stop_value=target,
-        lazy=lazy,
         tolerance=tolerance,
     )
     value = scalarizer.value(state.group_values, objective.group_weights)

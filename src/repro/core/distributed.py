@@ -81,11 +81,11 @@ def _shard_solve(
     oracle/batch-call deltas so the parent can fold the work back into
     its own counters.
     """
-    objective, scal, k, lazy = ctx.payload
+    objective, scal, k = ctx.payload
     before = objective.oracle_calls
     before_batch = objective.batch_oracle_calls
     state, _ = greedy_max(
-        objective, scal, k, candidates=shard.tolist(), lazy=lazy
+        objective, scal, k, candidates=shard.tolist()
     )
     return (
         state,
@@ -102,7 +102,6 @@ def greedi(
     scalarizer: Optional[Scalarizer] = None,
     shards: Optional[Sequence[Sequence[int]]] = None,
     seed: SeedLike = None,
-    lazy: bool = True,
     workers: Optional[int] = None,
     exec_backend: Optional[str] = None,
 ) -> SolverResult:
@@ -165,7 +164,7 @@ def greedi(
             _shard_solve,
             parts,
             workers=workers_used,
-            payload=(objective, scal, k, lazy),
+            payload=(objective, scal, k),
             backend=exec_backend,
         )
         machine_states: list[ObjectiveState] = []
@@ -180,7 +179,7 @@ def greedi(
             {item for state in machine_states for item in state.selected}
         )
         before = objective.oracle_calls
-        merged, _ = greedy_max(objective, scal, k, candidates=union, lazy=lazy)
+        merged, _ = greedy_max(objective, scal, k, candidates=union)
         merge_calls = objective.oracle_calls - before
 
         # Fold every contender's group values in one multi-state pass;

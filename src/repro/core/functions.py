@@ -402,6 +402,23 @@ def fold_states(
     return values, gains
 
 
+def group_row_sums(
+    rows: np.ndarray, labels: np.ndarray, num_groups: int
+) -> np.ndarray:
+    """Per-group sums of every row of a ``(N, num_users)`` matrix.
+
+    Row ``r`` of the result is bitwise
+    ``np.bincount(labels, weights=rows[r], minlength=num_groups)``: one
+    flat bincount adds each bin's users in ascending order, exactly as
+    the per-row calls do, so batched gains equal per-item ones.
+    """
+    num_rows = rows.shape[0]
+    bins = labels + num_groups * np.arange(num_rows)[:, None]
+    return np.bincount(
+        bins.ravel(), weights=rows.ravel(), minlength=num_rows * num_groups
+    ).reshape(num_rows, num_groups)
+
+
 # ---------------------------------------------------------------------------
 # Scalarizers
 # ---------------------------------------------------------------------------

@@ -1,32 +1,45 @@
 """Greedy maximisation of scalarized grouped objectives.
 
-Implements the three greedy variants the paper relies on:
+:func:`greedy_max` is lazy greedy, the loop the paper runs inside every
+algorithm: Minoux's accelerated greedy [Minoux 1978], known as CELF
+[Leskovec et al. 2007]. It returns plain greedy's ``(1 - 1/e)``
+selection [Nemhauser et al. 1978] for monotone submodular maximisation
+under a cardinality constraint. With ``stop_value`` it is also the
+*greedy submodular cover* loop (Wolsey's greedy, see
+:mod:`repro.core.cover`), so Saturate, greedy cover and both BSM
+algorithms all run it.
 
-* plain greedy [Nemhauser et al. 1978] — ``(1 - 1/e)``-approximation for
-  monotone submodular maximisation under a cardinality constraint;
-* lazy-forward / CELF greedy [Leskovec et al. 2007] — identical output,
-  far fewer oracle calls (the paper uses it for *all* algorithms);
-* stochastic greedy [Mirzasoleiman et al. 2015] — ``(1 - 1/e - eps)`` in
-  expectation with ``O(n log(1/eps))`` total oracle calls (offered as the
-  subsampling acceleration the related-work section mentions).
+The loop keeps every candidate's last gain as an upper bound (by
+submodularity a stale gain only overestimates the current one), in two
+arrays sorted by bound. Round 0 scores the whole pool in one
+:meth:`GroupedObjective.gains_batch` call. Each later round rescores the
+stale items best bound first, in batches that double, until no stale
+bound exceeds the best fresh gain minus ``GAIN_EPS``. A batch as large
+as the pool is plain greedy; a batch of one is CELF. The first batch of
+a round is half the last batch of the round before, and never below
+``_MIN_BATCH``, since a batch of a few dozen items costs about as much
+as a batch of one.
 
-All variants also serve as the *greedy submodular cover* inner loop: pass
-``stop_value`` to halt as soon as the scalar objective reaches a target
-(Wolsey's greedy for submodular cover — see :mod:`repro.core.cover`).
+Selection rule: among the fresh items within ``GAIN_EPS`` of the best
+gain, the sequential ``gain > best + GAIN_EPS`` scan in ascending id
+order picks the winner (ties go to the lowest id). This is CELF's rule;
+plain greedy's scan over the whole pool agrees with it unless gains
+form a chain of near-ties spaced under ``GAIN_EPS`` apart.
 
-Every loop drives the oracle through the *batch* API
-(:meth:`GroupedObjective.gains_batch` + :meth:`Scalarizer.gain_batch`):
-plain, stochastic and threshold greedy score their whole candidate pool
-once per round with a single vectorized call, and CELF seeds its priority
-queue with one batched pass before entering the heap. Selection is
-unchanged — each round picks the same item (ties toward the lowest id)
-the per-item loops would, so Saturate, greedy cover and both BSM
-algorithms inherit the fast path with identical solutions.
+``oracle_calls`` counts items scored (``gains_batch`` adds one per
+row), so it stays comparable with per-item loops; ``batch_oracle_calls``
+counts the batches: one for round 0 plus at most ``ceil(log2 n)`` per
+later round.
+
+The module also keeps two approximate accelerators that score sampled
+or thresholded pools in batches: stochastic greedy [Mirzasoleiman et
+al. 2015], ``(1 - 1/e - eps)`` in expectation with ``O(n log(1/eps))``
+oracle calls, and descending-thresholds greedy [Badanidiyuru & Vondrák
+2014].
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -40,6 +53,11 @@ from repro.utils.validation import check_positive_int
 #: re-ordering items whose true marginal gain is identical).
 GAIN_EPS = 1e-12
 
+#: Smallest rescoring batch, and the factor by which a round's last
+#: batch size shrinks to become the next round's first.
+_MIN_BATCH = 32
+_SHRINK = 2
+
 
 def greedy_max(
     objective: GroupedObjective,
@@ -49,10 +67,14 @@ def greedy_max(
     state: Optional[ObjectiveState] = None,
     candidates: Optional[Iterable[int]] = None,
     stop_value: Optional[float] = None,
-    lazy: bool = True,
     tolerance: float = 1e-12,
 ) -> tuple[ObjectiveState, list[GreedyStep]]:
     """Greedily add up to ``budget`` items maximising ``scalarizer``.
+
+    Lazy greedy: each round rescores only the stale items whose upper
+    bound could still reach the round's winner (see the module
+    docstring). Correct for submodular scalarizations, where a stale
+    gain only overestimates the current one.
 
     Parameters
     ----------
@@ -64,13 +86,11 @@ def greedy_max(
     state:
         Optional warm-start state; mutated in place when given.
     candidates:
-        Ground-set restriction (defaults to all items).
+        Ground-set restriction (defaults to all items). Order and
+        duplicates do not matter.
     stop_value:
         Stop as soon as the scalar value reaches this target (submodular
         cover mode). ``None`` runs to the budget.
-    lazy:
-        Use the CELF priority queue. Correct for submodular scalarizations
-        because stale upper bounds only overestimate gains.
 
     Returns
     -------
@@ -80,38 +100,88 @@ def greedy_max(
     check_positive_int(budget, "budget")
     if state is None:
         state = objective.new_state()
-    cand = _candidate_list(objective, candidates, state)
     steps: list[GreedyStep] = []
     weights = objective.group_weights
     value = scalarizer.value(state.group_values, weights)
     if stop_value is not None and value >= stop_value - tolerance:
         return state, steps
-    if lazy:
-        _lazy_loop(
-            objective, scalarizer, budget, state, cand, stop_value, steps,
-            tolerance,
-        )
-    else:
-        _plain_loop(
-            objective, scalarizer, budget, state, cand, stop_value, steps,
-            tolerance,
-        )
+    # keys are the negated gains of items. items[:fresh] hold this
+    # round's exact gains (unsorted); items[fresh:] hold stale bounds,
+    # sorted best first, so searchsorted finds "bound > floor". Round 0
+    # scores the whole pool in one call.
+    items = _candidate_pool(state, candidates)
+    if items.size == 0:
+        return state, steps
+    keys = -_pool_gains(objective, scalarizer, state, items, weights)
+    best, fresh = float(-keys.min()), items.size
+    batch, pick = _MIN_BATCH, -1
+    for _ in range(budget):
+        if pick >= 0:
+            # Next round: the last round's gains become stale bounds.
+            items, keys = _merge_fresh(items, keys, fresh, pick)
+            batch = max(_MIN_BATCH, batch // _SHRINK)
+            best, fresh = -np.inf, 0
+        # Rescore stale items best bound first, in batches that double,
+        # until no stale bound exceeds the floor. items[:fresh] then
+        # hold exact gains, and no stale item can beat
+        # max(best - GAIN_EPS, GAIN_EPS).
+        while fresh < items.size:
+            floor = max(best - GAIN_EPS, GAIN_EPS)
+            end = fresh + int(keys[fresh:fresh + batch].searchsorted(-floor))
+            if end == fresh:
+                break
+            gains = _pool_gains(
+                objective, scalarizer, state, items[fresh:end], weights
+            )
+            keys[fresh:end] = -gains
+            best = max(best, float(gains.max()))
+            if end - fresh == batch:
+                batch *= 2
+            fresh = end
+        if best <= GAIN_EPS:
+            break  # no item improves the objective: greedy is saturated
+        # Winner: the sequential lowest-id scan over the fresh band (the
+        # gains within GAIN_EPS of the best), as the per-item loops did.
+        band = np.flatnonzero(keys[:fresh] < GAIN_EPS - best)
+        if band.size == 1:
+            pick, gain = int(band[0]), best
+        else:
+            band = band[items[band].argsort()]
+            pick, gain = _scan_best(band, -keys[band])
+        item = int(items[pick])
+        objective.add(state, item)
+        value = scalarizer.value(state.group_values, weights)
+        steps.append(GreedyStep(item, gain, value))
+        if stop_value is not None and value >= stop_value - tolerance:
+            break
     return state, steps
 
 
-def _candidate_list(
-    objective: GroupedObjective,
-    candidates: Optional[Iterable[int]],
-    state: ObjectiveState,
-) -> "np.ndarray | list[int]":
+def _candidate_pool(
+    state: ObjectiveState, candidates: Optional[Iterable[int]]
+) -> np.ndarray:
+    """Sorted, de-duplicated candidate ids not yet in ``state``."""
     if candidates is None:
-        # Whole ground set: stay vectorized — at a million items a
-        # Python int list costs tens of MB and the loops below never
-        # need one (same values, same ascending order).
         return np.flatnonzero(~state.in_solution).astype(np.int64)
-    return [
-        int(v) for v in candidates if not state.in_solution[int(v)]
-    ]
+    pool = np.unique(np.fromiter(candidates, dtype=np.int64))
+    return pool[~state.in_solution[pool]]
+
+
+def _merge_fresh(
+    items: np.ndarray, keys: np.ndarray, fresh: int, pick: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the rescored head back into the stale tail.
+
+    Drops the winner at ``pick`` and every head item whose gain is at
+    most ``GAIN_EPS``: bounds only fall, so it can never win again. The
+    tail is one sorted run, so the stable (merge) sort costs
+    O(head log head + tail).
+    """
+    keys[pick] = 0.0
+    head = np.flatnonzero(keys[:fresh] < -GAIN_EPS)
+    merged = np.concatenate((keys[head], keys[fresh:]))
+    perm = merged.argsort(kind="stable")
+    return np.concatenate((items[head], items[fresh:]))[perm], merged[perm]
 
 
 def _pool_gains(
@@ -174,146 +244,6 @@ def _scan_best(items: Sequence[int], gains: np.ndarray) -> tuple[int, float]:
     return int(items[best_idx]), best_gain
 
 
-def _plain_loop(
-    objective: GroupedObjective,
-    scalarizer: Scalarizer,
-    budget: int,
-    state: ObjectiveState,
-    cand: "np.ndarray | list[int]",
-    stop_value: Optional[float],
-    steps: list[GreedyStep],
-    tolerance: float,
-) -> None:
-    weights = objective.group_weights
-    # Sorted candidate order makes ties break toward the lowest item id,
-    # the same order the lazy heap uses — keeps the variants comparable.
-    # (np.unique == sorted(set(...)) — kept as an array so a million-item
-    # pool costs one int64 vector per round, not a Python set.)
-    remaining = np.unique(np.asarray(cand, dtype=np.int64))
-    for _ in range(budget):
-        if remaining.size == 0:
-            break
-        gains = _pool_gains(objective, scalarizer, state, remaining, weights)
-        best_item, best_gain = _scan_best(remaining, gains)
-        if best_item < 0:
-            break  # no item improves the objective: greedy is saturated
-        objective.add(state, best_item)
-        remaining = remaining[remaining != best_item]
-        value = scalarizer.value(state.group_values, weights)
-        steps.append(GreedyStep(best_item, best_gain, value))
-        if stop_value is not None and value >= stop_value - tolerance:
-            break
-
-
-def _resolve_ties(
-    objective: GroupedObjective,
-    scalarizer: Scalarizer,
-    state: ObjectiveState,
-    weights: np.ndarray,
-    heap: list[tuple[float, int]],
-    fresh: dict[int, int],
-    round_no: int,
-    best_item: int,
-    best_gain: float,
-) -> tuple[int, int | float]:
-    """Settle an epsilon-band tie at the top of the CELF heap.
-
-    Pops every entry whose cached bound could still tie with
-    ``best_gain`` (rescoring stale ones), then replays the plain loop's
-    sequential lowest-id scan over the contenders. Losers go back on the
-    heap with fresh bounds. No-ops (one peek) when the top is clear of
-    the band — the common case.
-    """
-    contenders = [(best_item, best_gain)]
-    while heap and -heap[0][0] > best_gain - GAIN_EPS:
-        neg_ub, item = heapq.heappop(heap)
-        if state.in_solution[item]:
-            continue
-        if fresh[item] != round_no:
-            gain = scalarizer.gain(
-                state.group_values, objective.gains(state, item), weights
-            )
-            fresh[item] = round_no
-            heapq.heappush(heap, (-gain, item))
-            continue
-        contenders.append((item, -neg_ub))
-    if len(contenders) == 1:
-        return best_item, best_gain
-    contenders.sort()
-    winner, winner_gain = -1, 0.0
-    for item, gain in contenders:
-        if gain > winner_gain + GAIN_EPS:
-            winner, winner_gain = item, gain
-    for item, gain in contenders:
-        if item != winner:
-            heapq.heappush(heap, (-gain, item))
-    return winner, winner_gain
-
-
-def _lazy_loop(
-    objective: GroupedObjective,
-    scalarizer: Scalarizer,
-    budget: int,
-    state: ObjectiveState,
-    cand: "np.ndarray | list[int]",
-    stop_value: Optional[float],
-    steps: list[GreedyStep],
-    tolerance: float,
-) -> None:
-    weights = objective.group_weights
-    if len(cand) == 0:
-        return
-    # Heap of (-upper_bound, item). CELF must evaluate every item at least
-    # once against the starting solution anyway, so the re-seeding pass
-    # scores the whole pool with one batched call and enters the heap with
-    # exact round-0 bounds (the classic variant pushes -inf bounds and
-    # pays n Python round-trips to reach the same heap).
-    seed_gains = _pool_gains(objective, scalarizer, state, cand, weights)
-    heap: list[tuple[float, int]] = [
-        (-float(gain), int(item)) for item, gain in zip(cand, seed_gains)
-    ]
-    heapq.heapify(heap)
-    fresh: dict[int, int] = {
-        int(item): 0 for item in cand
-    }  # round of last eval
-    round_no = 0
-    while round_no < budget and heap:
-        while heap:
-            neg_ub, item = heapq.heappop(heap)
-            if state.in_solution[item]:
-                continue
-            if fresh[item] == round_no:
-                # Bound is current: this really is the best item.
-                gain = -neg_ub
-                if gain <= GAIN_EPS:
-                    heap.clear()
-                    break
-                # Ties: the heap orders by exact floats, but the plain
-                # loop's scan treats gains within GAIN_EPS as equal and
-                # keeps the earliest item. Re-apply that rule over every
-                # heap entry whose bound falls in the epsilon band, so a
-                # mathematically exact tie whose two computations differ
-                # in the last ulp cannot make the variants diverge.
-                item, gain = _resolve_ties(
-                    objective, scalarizer, state, weights,
-                    heap, fresh, round_no, item, gain,
-                )
-                objective.add(state, item)
-                value = scalarizer.value(state.group_values, weights)
-                steps.append(GreedyStep(item, gain, value))
-                round_no += 1
-                if stop_value is not None and value >= stop_value - tolerance:
-                    heap.clear()
-                break
-            gain = scalarizer.gain(
-                state.group_values, objective.gains(state, item), weights
-            )
-            fresh[item] = round_no
-            heapq.heappush(heap, (-gain, item))
-        else:
-            break
-
-
 def stochastic_greedy_max(
     objective: GroupedObjective,
     scalarizer: Scalarizer,
@@ -327,7 +257,8 @@ def stochastic_greedy_max(
 
     Each round evaluates a uniform random subset of ``(n/k) ln(1/eps)``
     candidates only. Offered as the subsampling accelerator from the
-    related-work discussion; the paper's headline experiments use CELF.
+    related-work discussion; the paper's headline experiments use lazy
+    greedy.
     """
     check_positive_int(budget, "budget")
     if not 0 < epsilon < 1:
@@ -380,10 +311,10 @@ def threshold_greedy_max(
     singleton value) and adds any item whose current marginal gain meets
     the threshold. Each item is touched ``O(log(n/eps)/eps)`` times in
     total — independent of ``k`` — for a ``(1 - 1/e - eps)`` guarantee,
-    making it the preferred accelerator when ``k`` is large and CELF's
-    heap still degenerates to many re-evaluations.
+    making it the preferred accelerator when ``k`` is large and lazy
+    greedy still rescores many items per round.
 
-    Like CELF, the batched sweep requires a *submodular* scalarization:
+    Like lazy greedy, the batched sweep requires a *submodular* scalarization:
     after an add, items whose stale gain already missed the threshold are
     dropped for the rest of the sweep on the grounds that gains only
     decrease. Feeding a non-submodular scalarizer (e.g. ``MinUtility``)

@@ -53,7 +53,6 @@ def mwu_robust(
     rounds: int = DEFAULT_ROUNDS,
     eta: float = 1.0,
     candidates: Optional[Iterable[int]] = None,
-    lazy: bool = True,
 ) -> SolverResult:
     """Run MWU for ``max_{|S| <= k} min_i f_i(S)``.
 
@@ -94,7 +93,6 @@ def mwu_robust(
                 _WeightedGroups(weights),
                 k,
                 candidates=candidates,
-                lazy=lazy,
             )
             g_val = objective.fairness(state)
             if g_val > best_g:

@@ -53,7 +53,6 @@ def saturate(
     candidates: Optional[Iterable[int]] = None,
     bisection_tol: float = DEFAULT_BISECTION_TOL,
     grid: int = 8,
-    lazy: bool = True,
 ) -> SolverResult:
     """Run Saturate for ``max_{|S| <= k} min_i f_i(S)``.
 
@@ -98,7 +97,7 @@ def saturate(
             # the RSM optimum is 0 and any set works. Return greedy-on-f
             # of size k so the result is still a sensible solution.
             best_state, _ = greedy_max(
-                objective, AverageUtility(), k, candidates=cand, lazy=lazy
+                objective, AverageUtility(), k, candidates=cand
             )
             t_min = 0.0
         else:
@@ -121,7 +120,6 @@ def saturate(
                     target=1.0,
                     budget=budget,
                     candidates=cand,
-                    lazy=lazy,
                 )
                 actual_g = objective.fairness(state)
                 if actual_g > best_g:
@@ -144,7 +142,6 @@ def saturate(
                     target=1.0,
                     budget=budget,
                     candidates=cand,
-                    lazy=lazy,
                 )
                 actual_g = objective.fairness(state)
                 if actual_g > best_g:
@@ -162,7 +159,6 @@ def saturate(
                     target=1.0,
                     budget=budget,
                     candidates=cand,
-                    lazy=lazy,
                 )
             t_min = max(t_min, best_g)
     result = make_result(

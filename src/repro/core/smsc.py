@@ -70,7 +70,6 @@ def smsc(
     k: int,
     *,
     candidates: Optional[Iterable[int]] = None,
-    lazy: bool = True,
 ) -> SolverResult:
     """Run the SMSC baseline (two-group instances only).
 
@@ -94,7 +93,7 @@ def smsc(
         per_group_opt = np.zeros(2)
         for i in range(2):
             state, _ = greedy_max(
-                objective, _SingleGroup(i), k, candidates=candidates, lazy=lazy
+                objective, _SingleGroup(i), k, candidates=candidates
             )
             per_group_opt[i] = state.group_values[i]
         best_state = None
@@ -109,7 +108,6 @@ def smsc(
                     target=1.0,
                     budget=k,
                     candidates=candidates,
-                    lazy=lazy,
                 )
                 if covered:
                     t_min = t
@@ -122,7 +120,7 @@ def smsc(
             from repro.core.functions import AverageUtility
 
             best_state, _ = greedy_max(
-                objective, AverageUtility(), k, candidates=candidates, lazy=lazy
+                objective, AverageUtility(), k, candidates=candidates
             )
             t_min = 0.0
         if best_state.size < k:
@@ -134,7 +132,6 @@ def smsc(
                 k - best_state.size,
                 state=best_state,
                 candidates=candidates,
-                lazy=lazy,
             )
     return make_result(
         "SMSC",

@@ -35,7 +35,6 @@ def bsm_tsgreedy(
     tau: float,
     *,
     candidates: Optional[Iterable[int]] = None,
-    lazy: bool = True,
     greedy_result: Optional[SolverResult] = None,
     saturate_result: Optional[SolverResult] = None,
 ) -> SolverResult:
@@ -65,7 +64,7 @@ def bsm_tsgreedy(
     with timer:
         if greedy_result is None:
             greedy_result = greedy_utility(
-                objective, k, candidates=candidates, lazy=lazy
+                objective, k, candidates=candidates
             )
         if tau == 0.0:
             # No fairness constraint: BSM collapses to SM (Section 3).
@@ -92,7 +91,7 @@ def bsm_tsgreedy(
         return return_early
     with timer:
         if saturate_result is None:
-            saturate_result = saturate(objective, k, candidates=candidates, lazy=lazy)
+            saturate_result = saturate(objective, k, candidates=candidates)
         opt_g_approx = saturate_result.fairness
         threshold = tau * opt_g_approx
         used_fallback = False
@@ -109,7 +108,6 @@ def bsm_tsgreedy(
                 target=1.0,
                 budget=k,
                 candidates=candidates,
-                lazy=lazy,
             )
             stage1_size = state.size
             if state.size == k and not covered:
@@ -142,7 +140,6 @@ def bsm_tsgreedy(
                 k - state.size,
                 state=state,
                 candidates=candidates,
-                lazy=lazy,
             )
     return make_result(
         "BSM-TSGreedy",

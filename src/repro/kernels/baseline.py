@@ -159,7 +159,7 @@ def gains_rescore(
 ) -> np.ndarray:
     """Per-group count of fresh (uncovered) RR sets among ``ids``.
 
-    The CELF single-item re-score: ``ids`` are the RR-set ids containing
+    The single-item re-score: ``ids`` are the RR-set ids containing
     the candidate, ``covered`` the current solution's hit flags,
     ``labels`` every set's root group. Returns int64 counts of shape
     ``(num_groups,)`` — the numerator of the gain vector.

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.functions import GroupedObjective
+from repro.core.functions import GroupedObjective, group_row_sums
 from repro.errors import GroupPartitionError
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive_int
@@ -156,6 +156,13 @@ class RecommendationObjective(GroupedObjective):
             self._labels, weights=per_user, minlength=self.num_groups
         )
         return totals / self._group_sizes
+
+    def _gains_batch(
+        self, payload: _SlatePayload, items: np.ndarray
+    ) -> np.ndarray:
+        per_user = payload.miss[:, None] * self._relevance[:, items]
+        sums = group_row_sums(per_user.T, self._labels, self.num_groups)
+        return sums / self._group_sizes
 
     def _apply(self, payload: _SlatePayload, item: int) -> np.ndarray:
         gains = self._gains(payload, item)

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.functions import GroupedObjective
+from repro.core.functions import GroupedObjective, group_row_sums
 from repro.errors import GroupPartitionError
 
 
@@ -165,6 +165,13 @@ class SummarizationObjective(GroupedObjective):
             self._labels, weights=improved, minlength=self.num_groups
         )
         return totals / self._group_sizes
+
+    def _gains_batch(
+        self, payload: _SummaryPayload, items: np.ndarray
+    ) -> np.ndarray:
+        improved = np.maximum(payload.best[:, None] - self._dist[:, items], 0.0)
+        sums = group_row_sums(improved.T, self._labels, self.num_groups)
+        return sums / self._group_sizes
 
     def _apply(self, payload: _SummaryPayload, item: int) -> np.ndarray:
         gains = self._gains(payload, item)

@@ -14,8 +14,8 @@ one :meth:`handle_batch` call) are *concurrent*. Concurrent ``solve``
 requests with ``algorithm="greedy"`` and identical
 ``(dataset, seed, im_samples, workers)`` — i.e. the same warm objective
 and the same ``AverageUtility`` scalarizer (``tau`` does not enter
-plain greedy) — run as **one** ``gains_batch``-backed CELF solve at the
-largest requested budget. Greedy's prefix property makes this exact:
+greedy) — run as **one** lazy greedy solve at the largest requested
+budget. Greedy's prefix property makes this exact:
 the run at budget ``k_max`` selects, step by step, precisely the items
 a run at any smaller ``k`` would, with identical tie-breaking, and
 replaying the first ``k`` accepted items reproduces the smaller run's
@@ -535,8 +535,8 @@ class ServiceEngine:
 
         All requests share (algorithm, dataset, seed, im_samples,
         workers) by construction; only ``k`` (and the greedy-inert
-        ``tau``) differ. The shared CELF run at ``k_max`` yields every
-        smaller solve as a step prefix.
+        ``tau``) differ. The shared lazy greedy run at ``k_max`` yields
+        every smaller solve as a step prefix.
         """
         from repro.core.baselines import greedy_utility
 

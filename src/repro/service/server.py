@@ -25,7 +25,7 @@ Four mechanisms make the engines safe and fast under concurrency:
   into a single engine batch. Requests from *different connections*
   therefore coalesce exactly like members of one array line — many
   users asking for the same dataset's seeds collapse into one shared
-  CELF run on that dataset's shard (the engine's prefix-replay
+  lazy greedy run on that dataset's shard (the engine's prefix-replay
   guarantee keeps each response bitwise-identical to a sequential
   solve). Routing affinity makes the per-shard window exactly as
   effective as the old global one: coalescable requests share a

@@ -163,13 +163,21 @@ class EngineShard:
         return self._process.is_alive()
 
     def handle_batch(self, requests: list[AnyRequest]) -> list[Response]:
-        """Round-trip one wire batch through the shard process."""
+        """Round-trip one wire batch of traffic through the shard process."""
+        return self._exchange(requests, count=True)
+
+    def poll(self, request: AnyRequest) -> Response:
+        """Round-trip one monitoring request, not counted as traffic."""
+        return self._exchange([request], count=False)[0]
+
+    def _exchange(self, requests: list[AnyRequest], count: bool) -> list[Response]:
         line = "[" + ",".join(encode_request(r) for r in requests) + "]"
         with self._lock:
             if not self._process.is_alive():
                 raise RuntimeError(f"shard {self.index} is not running")
-            self.dispatches += 1
-            self.requests += len(requests)
+            if count:
+                self.dispatches += 1
+                self.requests += len(requests)
             self._conn.send(line)
             try:
                 reply = self._conn.recv()
@@ -230,6 +238,11 @@ class InProcessShard:
             self.requests += len(requests)
             return self.engine.handle_batch(requests)
 
+    def poll(self, request: AnyRequest) -> Response:
+        """Answer one monitoring request, not counted as traffic."""
+        with self._lock:
+            return self.engine.handle_batch([request])[0]
+
     def close(self) -> None:
         """Nothing to stop: the engine belongs to the front-end's process."""
 
@@ -285,11 +298,13 @@ class EngineShardPool:
         ``shards`` with ``ok: true`` — or ``ok: false`` and the
         ``error`` for a shard that could not answer (exited, broken
         pipe), so ``stats`` keeps working exactly when a shard dies.
+        Shards are polled, so the fan-out does not count as traffic in
+        their ``dispatches``/``requests``.
         """
         per_shard = []
         for shard in self.shards:
             try:
-                per_shard.append(shard.handle_batch([request])[0])
+                per_shard.append(shard.poll(request))
             except Exception as exc:  # noqa: BLE001 — one shard's failure
                 error = f"{type(exc).__name__}: {exc}"
                 per_shard.append(

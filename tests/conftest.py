@@ -8,7 +8,8 @@ from typing import Iterable, Sequence
 import numpy as np
 import pytest
 
-from repro.core.functions import GroupedObjective
+from repro.core.functions import GroupedObjective, ObjectiveState, Scalarizer
+from repro.core.greedy import GAIN_EPS
 from repro.datasets.paper_example import figure1_instance
 from repro.problems.coverage import CoverageObjective
 from repro.problems.facility import FacilityLocationObjective
@@ -78,6 +79,66 @@ def brute_force_best(
             best_val = val
             best_set = combo
     return best_set, best_val
+
+
+def naive_greedy(
+    objective: GroupedObjective,
+    scalarizer: Scalarizer,
+    budget: int,
+    *,
+    state: "ObjectiveState | None" = None,
+    candidates: "Iterable[int] | None" = None,
+    stop_value: "float | None" = None,
+    tolerance: float = 1e-12,
+) -> tuple[ObjectiveState, list[int]]:
+    """Per-item greedy with the solvers' selection rule; returns (state, picks).
+
+    Each round scores every remaining candidate with one
+    ``scalarizer.gain(objective.gains(...))`` call, then runs the
+    sequential ``gain > best + GAIN_EPS`` scan in ascending id order
+    over the band of gains within ``GAIN_EPS`` of the round's best.
+    Restricting the scan to that band only matters when gains form a
+    chain of near-ties spaced under ``GAIN_EPS`` apart; a lazy loop
+    cannot see items below the band, so the band is the rule.
+    """
+    if state is None:
+        state = objective.new_state()
+    weights = objective.group_weights
+    pool = sorted(
+        {int(v) for v in (
+            range(objective.num_items) if candidates is None else candidates
+        )}
+    )
+    picks: list[int] = []
+
+    def reached() -> bool:
+        value = scalarizer.value(state.group_values, weights)
+        return stop_value is not None and value >= stop_value - tolerance
+
+    if reached():
+        return state, picks
+    for _ in range(budget):
+        gains = {
+            v: scalarizer.gain(
+                state.group_values, objective.gains(state, v), weights
+            )
+            for v in pool
+            if not state.in_solution[v]
+        }
+        if not gains:
+            break
+        top = max(gains.values())
+        best_item, best_gain = -1, 0.0
+        for item, gain in gains.items():
+            if gain > top - GAIN_EPS and gain > best_gain + GAIN_EPS:
+                best_item, best_gain = item, gain
+        if best_item < 0:
+            break
+        objective.add(state, best_item)
+        picks.append(best_item)
+        if reached():
+            break
+    return state, picks
 
 
 def brute_force_bsm(

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.core import greedy as greedy_module
 from repro.core.functions import AverageUtility, TruncatedFairness
 from repro.core.greedy import greedy_max, stochastic_greedy_max
-from tests.conftest import brute_force_best
+from repro.problems.facility import FacilityLocationObjective
+from tests.conftest import brute_force_best, naive_greedy
 
 
 class TestGreedyMax:
@@ -19,27 +23,49 @@ class TestGreedyMax:
         assert steps[0].item == 0  # v1 covers 5 users, the largest gain
 
     def test_lazy_equals_plain(self, small_coverage):
-        lazy_state, _ = greedy_max(small_coverage, AverageUtility(), 5, lazy=True)
-        plain_state, _ = greedy_max(small_coverage, AverageUtility(), 5, lazy=False)
+        lazy_state, _ = greedy_max(small_coverage, AverageUtility(), 5)
+        plain_state, _ = naive_greedy(small_coverage, AverageUtility(), 5)
         assert small_coverage.utility(lazy_state) == pytest.approx(
             small_coverage.utility(plain_state)
         )
 
     def test_lazy_equals_plain_facility(self, small_facility):
-        lazy_state, _ = greedy_max(small_facility, AverageUtility(), 4, lazy=True)
-        plain_state, _ = greedy_max(small_facility, AverageUtility(), 4, lazy=False)
+        lazy_state, _ = greedy_max(small_facility, AverageUtility(), 4)
+        plain_state, _ = naive_greedy(small_facility, AverageUtility(), 4)
         assert small_facility.utility(lazy_state) == pytest.approx(
             small_facility.utility(plain_state)
         )
 
     def test_lazy_uses_fewer_oracle_calls(self, small_coverage):
+        # oracle_calls counts items scored: at most plain greedy's whole
+        # remaining pool per round, in at most 1 + rounds * ceil(log2 n)
+        # batches.
+        n, budget = small_coverage.num_items, 5
         small_coverage.reset_counter()
-        greedy_max(small_coverage, AverageUtility(), 5, lazy=False)
+        naive_greedy(small_coverage, AverageUtility(), budget)
         plain_calls = small_coverage.oracle_calls
         small_coverage.reset_counter()
-        greedy_max(small_coverage, AverageUtility(), 5, lazy=True)
-        lazy_calls = small_coverage.oracle_calls
-        assert lazy_calls <= plain_calls
+        _, steps = greedy_max(small_coverage, AverageUtility(), budget)
+        rounds = min(budget, len(steps) + 1)
+        assert small_coverage.oracle_calls <= plain_calls
+        assert small_coverage.batch_oracle_calls <= 1 + rounds * math.ceil(
+            math.log2(n)
+        )
+
+    @pytest.mark.parametrize("min_batch", [1, greedy_module._MIN_BATCH])
+    def test_stale_near_tie_inside_the_band_is_rescored(
+        self, monkeypatch, min_batch
+    ):
+        # Items 0 and 1 gain within GAIN_EPS of each other (item 1 by
+        # 5e-15 more); item 2 wins round 0 without touching either. In
+        # round 1 a one-item first batch rescores item 1 alone, but item
+        # 0's stale bound lies inside the band below it, so item 0 must
+        # be rescored too, and it wins on the lower id.
+        monkeypatch.setattr(greedy_module, "_MIN_BATCH", min_batch)
+        benefits = np.array([[0.5, 0.5 + 1e-14, 0.0], [0.0, 0.0, 1.0]])
+        objective = FacilityLocationObjective(benefits, [0, 1])
+        _, steps = greedy_max(objective, AverageUtility(), 2)
+        assert [step.item for step in steps] == [2, 0]
 
     def test_budget_respected(self, small_coverage):
         state, _ = greedy_max(small_coverage, AverageUtility(), 3)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.baselines import greedy_utility
+from repro.core.functions import AverageUtility
 from repro.core.problem import BSMProblem
 from repro.datasets.registry import load_dataset
 from repro.errors import StorageError
@@ -45,6 +46,7 @@ from repro.utils.csr import (
     invert_csr_segment,
     segment_spans,
 )
+from tests.conftest import naive_greedy
 
 #: The five influence datasets the CLI exposes (mirrors test_repair.py).
 CLI_DATASETS = [
@@ -389,10 +391,8 @@ class TestSegmentedIdentity:
     @pytest.mark.parametrize("name,overrides", CLI_DATASETS[:2])
     def test_plain_and_lazy_greedy_agree_on_segmented(self, name, overrides):
         _, _, seg = _flat_and_segmented(name, overrides)
-        assert (
-            greedy_utility(seg, 6, lazy=False).solution
-            == greedy_utility(seg, 6, lazy=True).solution
-        )
+        _, plain_picks = naive_greedy(seg, AverageUtility(), 6)
+        assert greedy_utility(seg, 6).solution == tuple(plain_picks)
 
     def test_bsm_solver_identical_on_segmented(self):
         _, flat, seg = _flat_and_segmented("rand-im-c2", {})

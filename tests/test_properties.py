@@ -11,17 +11,21 @@ on randomly generated instances of every objective family:
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.bsm_saturate import DEFAULT_EPSILON, bsm_saturate
 from repro.core.functions import AverageUtility, TruncatedFairness
+from repro.core import greedy as greedy_module
 from repro.core.greedy import greedy_max
 from repro.core.tsgreedy import bsm_tsgreedy
 from repro.problems.coverage import CoverageObjective
 from repro.problems.facility import FacilityLocationObjective
 from repro.influence.ris import RRCollection
 from repro.problems.influence import InfluenceObjective
+from tests.conftest import naive_greedy
 
 # -- instance strategies ------------------------------------------------
 @st.composite
@@ -148,8 +152,8 @@ def test_incremental_matches_batch(objective, data):
 @given(objective=ALL_INSTANCES, data=st.data())
 def test_lazy_greedy_matches_plain(objective, data):
     k = data.draw(st.integers(1, objective.num_items))
-    lazy_state, _ = greedy_max(objective, AverageUtility(), k, lazy=True)
-    plain_state, _ = greedy_max(objective, AverageUtility(), k, lazy=False)
+    lazy_state, _ = greedy_max(objective, AverageUtility(), k)
+    plain_state, _ = naive_greedy(objective, AverageUtility(), k)
     assert objective.utility(lazy_state) == pytest_approx(
         objective.utility(plain_state)
     )
@@ -212,3 +216,89 @@ def test_state_copy_isolation(objective, data):
         objective.add(clone, data.draw(st.sampled_from(others)))
     np.testing.assert_array_equal(state.group_values, snapshot)
     assert state.size == 1
+
+
+# -- the greedy loop against a naive per-item reference -----------------
+@st.composite
+def duplicated_instances(draw):
+    """Coverage or facility instance whose items repeat, so gains tie
+    exactly and the lowest-id rule decides. Facility copies may also be
+    shifted by a few 1e-14, a chain of near-ties inside GAIN_EPS."""
+    num_users = draw(st.integers(3, 12))
+    num_groups = draw(st.integers(1, 3))
+    labels = [draw(st.integers(0, num_groups - 1)) for _ in range(num_users)]
+    for g in range(num_groups):
+        labels[g % num_users] = g
+    num_base = draw(st.integers(1, 5))
+    copies = draw(st.lists(st.integers(0, num_base - 1), min_size=1, max_size=6))
+    layout = draw(st.permutations(list(range(num_base)) + copies))
+    if draw(st.booleans()):
+        sets = [
+            np.asarray(
+                draw(st.lists(st.integers(0, num_users - 1), max_size=num_users)),
+                dtype=np.int64,
+            )
+            for _ in range(num_base)
+        ]
+        return CoverageObjective([sets[b] for b in layout], labels)
+    benefits = np.array(
+        [
+            [draw(st.sampled_from([0.5, 1.0, 0.25, 0.0])) for _ in range(num_base)]
+            for _ in range(num_users)
+        ]
+    )
+    jitter = draw(st.sampled_from([1e-14, -1e-14, 0.0]))
+    shifts = [jitter * layout[:col].count(base) for col, base in enumerate(layout)]
+    return FacilityLocationObjective(
+        np.abs(benefits[:, layout] + np.asarray(shifts)), labels
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(objective=ALL_INSTANCES, data=st.data())
+def test_greedy_loop_matches_naive_reference(objective, data):
+    _check_greedy_against_naive(objective, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(objective=duplicated_instances(), data=st.data())
+def test_greedy_loop_breaks_ties_like_naive_reference(objective, data):
+    _check_greedy_against_naive(objective, data)
+
+
+def _check_greedy_against_naive(objective, data) -> None:
+    """Same picks and group values as :func:`naive_greedy` on random
+    scalarizer, budget, warm start, candidate list and cover target."""
+    n = objective.num_items
+    if data.draw(st.booleans()):
+        # Saturate's cover step: a truncated scalarizer run to 1.0.
+        level = data.draw(st.floats(0.05, 1.0))
+        scalarizer, stop_value = TruncatedFairness(level), 1.0
+    else:
+        scalarizer = AverageUtility()
+        stop_value = data.draw(st.none() | st.floats(0.0, 1.0))
+    budget = data.draw(st.integers(1, n + 1))
+    warm = data.draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
+    candidates = data.draw(
+        st.none() | st.lists(st.integers(0, n - 1), max_size=2 * n)
+    )
+
+    def warm_state():
+        state = objective.new_state()
+        for item in warm:
+            objective.add(state, item)
+        return state
+
+    kwargs = {"candidates": candidates, "stop_value": stop_value}
+    # A small first batch leaves stale items outside it on these tiny
+    # pools, so the doubling and the floor test get exercised too.
+    min_batch = data.draw(st.sampled_from([1, 2, 3, greedy_module._MIN_BATCH]))
+    with mock.patch.object(greedy_module, "_MIN_BATCH", min_batch):
+        state, steps = greedy_max(
+            objective, scalarizer, budget, state=warm_state(), **kwargs
+        )
+    ref_state, picks = naive_greedy(
+        objective, scalarizer, budget, state=warm_state(), **kwargs
+    )
+    assert [step.item for step in steps] == picks
+    np.testing.assert_array_equal(state.group_values, ref_state.group_values)

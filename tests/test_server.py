@@ -178,7 +178,8 @@ class TestTCPBasics:
         assert server_block["requests_admitted"] == 1
         assert server_block["config"]["max_queue_depth"] >= 1
         assert server_block["draining"] is False
-        assert [e["requests"] for e in server_block["shard_telemetry"]] == [1]
+        # The stats fan-out polls the shard; it is not shard traffic.
+        assert [e["requests"] for e in server_block["shard_telemetry"]] == [0]
 
 
 class TestCoalescing:

@@ -369,3 +369,34 @@ class TestMetricsSidecar:
         # One in-process shard exports the same per-shard series.
         assert 'repro_shard_requests_total{shard="0"} 1' in body
         assert 'repro_shard_queue_depth{shard="0"} 0' in body
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_stats_polls_do_not_count_as_shard_traffic(self, shards):
+        async def scenario():
+            server = await started_server(
+                shards=shards, batch_window=0.0, metrics_port=0
+            )
+            try:
+                stats = {"schema": 2, "op": "stats", "args": {}}
+                await send_sequential(
+                    server.host,
+                    server.port,
+                    [_solve("a", DATASET_B), {**stats, "id": "s1"},
+                     {**stats, "id": "s2"}],
+                )
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.metrics_port
+                )
+                writer.write(b"GET /metrics HTTP/1.1\r\n\r\n")
+                await writer.drain()
+                raw = (await reader.read()).decode("utf-8")
+                writer.close()
+                return raw
+            finally:
+                await server.drain()
+
+        body = run_async(scenario()).split("\r\n\r\n", 1)[1]
+        shard = shard_for_dataset(DATASET_B, shards)
+        assert f'repro_shard_requests_total{{shard="{shard}"}} 1' in body
+        assert f'repro_shard_dispatches_total{{shard="{shard}"}} 1' in body
+        assert 'repro_op_requests_total{op="stats"} 2' in body
